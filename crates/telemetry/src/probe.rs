@@ -109,6 +109,8 @@ pub trait Probe {
     ///
     /// `backlog_bytes` is the queued-byte occupancy at the drop instant
     /// (excluding the dropped packet), `buffer_bytes` the configured limit.
+    /// `buffer_bytes == 0` marks a link-fault drop (an arrival discarded
+    /// while its link is down), not a buffer overflow.
     fn on_drop(&mut self, at: Time, id: PacketId, backlog_bytes: u64, buffer_bytes: u64) {
         let _ = (at, id, backlog_bytes, buffer_bytes);
     }
