@@ -42,7 +42,7 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use pdd::netsim::{run_study_b_probed, StudyBConfig};
-use pdd::qsim::{run_trace_lossy_probed, run_trace_probed, Departure, LossMode};
+use pdd::qsim::{run_trace_probed, Departure, LossMode, Session};
 use pdd::sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use pdd::simcore::Time;
 use pdd::telemetry::{schema, ChromeTraceSink, CountingProbe, JsonlSink, PacketId, Probe, Tee};
@@ -306,14 +306,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if let Some(buffer) = opt(args, "--buffer") {
         let buffer: u64 = buffer.parse().map_err(|e| format!("bad --buffer: {e}"))?;
         let mut s = kind.build(&sdp, 1.0);
-        let r = run_trace_lossy_probed(
-            s.as_mut(),
-            &trace,
-            1.0,
-            buffer,
-            LossMode::TailDrop,
-            &mut probe,
-        );
+        let r = Session::trace(&trace, 1.0)
+            .probe(&mut probe)
+            .lossy(buffer, LossMode::TailDrop)
+            .run(s.as_mut());
         say!(
             "lossy link: {} delivered, {} dropped (buffer {buffer} B)",
             r.delays.iter().map(|d| d.count()).sum::<u64>(),
@@ -378,7 +374,6 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    use pdd::qsim::Session;
     use pdd::scenario::Scenario;
     use pdd::telemetry::{validate_prometheus, MonitorConfig};
     use pdd::traffic::{SizeDist, PAPER_MEAN_PACKET_BYTES};

@@ -163,7 +163,7 @@ impl DecomposeInput {
             for &l in &f.route {
                 assignments[l].push((i as u32, offset));
                 let spec = &cfg.links[l];
-                let tx = ((f.packet_bytes as f64 / spec.bytes_per_tick()).round() as u64).max(1);
+                let tx = qsim::tx_ticks(f.packet_bytes, spec.bytes_per_tick());
                 offset += tx + spec.propagation_ns;
             }
         }

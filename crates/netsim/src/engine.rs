@@ -214,7 +214,7 @@ impl<P: Probe> Net<'_, P> {
         if pkt.tag != CROSS_TAG {
             self.metas[pkt.tag as usize].acc_wait += wait;
         }
-        let tx = ((pkt.size as f64 / self.links[link].rate).round() as u64).max(1);
+        let tx = qsim::tx_ticks(pkt.size, self.links[link].rate);
         self.links[link].in_flight = Some(pkt);
         self.links[link].tx_start = now;
         ctx.schedule_in(Dur::from_ticks(tx), Ev::TxDone { link: link as u16 });

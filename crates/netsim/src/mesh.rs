@@ -363,7 +363,7 @@ impl<P: Probe> Mesh<'_, P> {
         }
         let wait = now.since(pkt.arrival).ticks();
         self.metas[pkt.tag as usize].acc_wait += wait;
-        let tx = ((pkt.size as f64 / self.links[link].rate).round() as u64).max(1);
+        let tx = qsim::tx_ticks(pkt.size, self.links[link].rate);
         self.links[link].in_flight = Some(pkt);
         self.links[link].tx_start = now;
         ctx.schedule_in(Dur::from_ticks(tx), Ev::TxDone { link: link as u16 });

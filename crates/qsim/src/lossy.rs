@@ -12,14 +12,15 @@
 //! class whose normalized loss fraction is furthest *below* its target and
 //! removes that class's most recent packet (falling back to dropping the
 //! arrival if the scheduler does not support removal).
+//!
+//! A lossy run is a [`Session`](crate::Session) with
+//! [`lossy`](crate::Session::lossy) called; the replay loop is the shared
+//! one, with the finite buffer as its admission policy.
 
-use sched::{Packet, PlrDropper, Scheduler};
-use simcore::{Dur, Time};
+use sched::PlrDropper;
 use stats::Summary;
-use telemetry::{PacketId, Probe};
-use traffic::Trace;
 
-/// The drop policy for a lossy session ([`run_trace_lossy_probed`]).
+/// The drop policy for a lossy session ([`Session::lossy`](crate::Session::lossy)).
 #[derive(Debug, Clone)]
 pub enum LossMode {
     /// Drop the arriving packet when the buffer is full.
@@ -42,6 +43,16 @@ pub struct LossyReport {
 }
 
 impl LossyReport {
+    /// An empty report for `num_classes` classes.
+    pub(crate) fn new(num_classes: usize) -> Self {
+        LossyReport {
+            arrivals: vec![0; num_classes],
+            drops: vec![0; num_classes],
+            delays: vec![Summary::new(); num_classes],
+            max_backlog_bytes: 0,
+        }
+    }
+
     /// Loss fraction of `class` (0 if it had no arrivals).
     pub fn loss_fraction(&self, class: usize) -> f64 {
         if self.arrivals[class] == 0 {
@@ -64,167 +75,14 @@ impl LossyReport {
     }
 }
 
-/// Replays `trace` through `scheduler` on a link of `rate` bytes/tick with
-/// a shared buffer of `buffer_bytes` (queued bytes only; the packet in
-/// service does not occupy buffer), with a [`Probe`] observing the packet
-/// lifecycle. The probe-free form is
-/// `qsim::Session::trace(trace, rate).lossy(buffer_bytes, mode).run(scheduler)`.
-///
-/// In addition to the lossless events
-/// ([`run_trace_probed`](crate::run_trace_probed)), every rejected packet
-/// yields an `on_drop` record carrying the queued-byte occupancy at the
-/// drop instant — for push-out (PLR) drops the victim is the *queued*
-/// packet that was evicted, not the arrival that triggered it, and the
-/// occupancy excludes the victim.
-pub fn run_trace_lossy_probed<P: Probe>(
-    scheduler: &mut dyn Scheduler,
-    trace: &Trace,
-    rate: f64,
-    buffer_bytes: u64,
-    mut mode: LossMode,
-    probe: &mut P,
-) -> LossyReport {
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-    let n = scheduler.num_classes();
-    let mut report = LossyReport {
-        arrivals: vec![0; n],
-        drops: vec![0; n],
-        delays: vec![Summary::new(); n],
-        max_backlog_bytes: 0,
-    };
-    let entries = trace.entries();
-    let mut next = 0usize;
-    let mut free = Time::ZERO;
-    let mut seq = 0u64;
-    // Scratch for the decision audit, reused across decisions.
-    let mut values: Vec<(usize, f64)> = Vec::new();
-
-    // Admits (or drops) one arrival under the buffer policy.
-    let admit = |s: &mut dyn Scheduler,
-                 e: &traffic::TraceEntry,
-                 seq: u64,
-                 report: &mut LossyReport,
-                 mode: &mut LossMode,
-                 probe: &mut P| {
-        let class = e.class as usize;
-        assert!(
-            u64::from(e.size) <= buffer_bytes,
-            "buffer ({buffer_bytes} B) smaller than packet ({} B)",
-            e.size
-        );
-        report.arrivals[class] += 1;
-        let id = PacketId::single_link(seq, e.class, e.size);
-        if P::ENABLED {
-            probe.on_arrival(e.at, id);
-        }
-        if let LossMode::Plr(d) = mode {
-            d.on_arrival(class);
-        }
-        // Free space by push-out (PLR) or by dropping the arrival.
-        while s.total_backlog_bytes() + e.size as u64 > buffer_bytes {
-            match mode {
-                LossMode::TailDrop => {
-                    report.drops[class] += 1;
-                    if P::ENABLED {
-                        probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                    }
-                    return;
-                }
-                LossMode::Plr(d) => {
-                    let mut candidates: Vec<usize> = (0..s.num_classes())
-                        .filter(|&c| s.backlog_packets(c) > 0)
-                        .collect();
-                    if !candidates.contains(&class) {
-                        candidates.push(class);
-                    }
-                    let victim = d.preview_victim(&candidates).expect("nonempty candidates");
-                    if victim == class {
-                        d.record_drop(class);
-                        report.drops[class] += 1;
-                        if P::ENABLED {
-                            probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                        }
-                        return;
-                    }
-                    match s.drop_newest(victim) {
-                        Some(v) => {
-                            d.record_drop(v.class as usize);
-                            report.drops[v.class as usize] += 1;
-                            if P::ENABLED {
-                                let vid = PacketId::single_link(v.seq, v.class, v.size);
-                                probe.on_drop(e.at, vid, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                        }
-                        None => {
-                            // Scheduler without push-out support: fall back
-                            // to dropping the arrival.
-                            d.record_drop(class);
-                            report.drops[class] += 1;
-                            if P::ENABLED {
-                                probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if P::ENABLED {
-            probe.on_enqueue(e.at, id);
-        }
-        s.enqueue(Packet::new(seq, e.class, e.size, e.at));
-    };
-
-    loop {
-        if scheduler.is_empty() {
-            if next >= entries.len() {
-                break;
-            }
-            let e = entries[next];
-            next += 1;
-            admit(scheduler, &e, seq, &mut report, &mut mode, probe);
-            seq += 1;
-            free = free.max(e.at);
-            if scheduler.is_empty() {
-                continue; // the lone arrival was dropped
-            }
-        }
-        while next < entries.len() && entries[next].at <= free {
-            let e = entries[next];
-            next += 1;
-            admit(scheduler, &e, seq, &mut report, &mut mode, probe);
-            seq += 1;
-        }
-        report.max_backlog_bytes = report
-            .max_backlog_bytes
-            .max(scheduler.total_backlog_bytes());
-        if P::ENABLED && P::WANTS_DECISION_VALUES {
-            values.clear();
-            scheduler.decision_values(free, &mut values);
-        }
-        let Some(pkt) = scheduler.dequeue(free) else {
-            continue;
-        };
-        report.delays[pkt.class as usize].push(free.since(pkt.arrival).as_f64());
-        let tx = ((pkt.size as f64 / rate).round() as u64).max(1);
-        let finish = free + Dur::from_ticks(tx);
-        if P::ENABLED {
-            let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
-            probe.on_decision(free, scheduler.name(), id, &values);
-            probe.on_depart(id, pkt.arrival, free, finish, true);
-        }
-        free = finish;
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sched::{SchedulerKind, Sdp};
-    use traffic::{ClassSource, IatDist, SizeDist, TraceEntry};
+    use simcore::Time;
+    use traffic::{ClassSource, IatDist, SizeDist, Trace, TraceEntry};
 
     /// Overloaded two-class trace (offered load ≈ 1.3 on a 1 B/tick link).
     fn overload_trace(seed: u64) -> Trace {
@@ -429,14 +287,10 @@ mod tests {
     fn probed_lossy_run_reports_drops_with_occupancy() {
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
         let mut probe = telemetry::CountingProbe::new(2);
-        let r = run_trace_lossy_probed(
-            s.as_mut(),
-            &overload_trace(3),
-            1.0,
-            4_000,
-            LossMode::TailDrop,
-            &mut probe,
-        );
+        let r = crate::Session::trace(&overload_trace(3), 1.0)
+            .probe(&mut probe)
+            .lossy(4_000, LossMode::TailDrop)
+            .run(s.as_mut());
         let report = probe.report();
         // The probe's ledger agrees with the report's, per class.
         for c in 0..2 {
