@@ -7,7 +7,7 @@
 //!   spacing ratios and utilizations.
 //! * [`starvation`] — Proposition 2 demonstrated empirically: the SDP-ratio
 //!   threshold at which a high-class burst starves lower classes.
-//! * [`moderate_load`] — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
+//! * [`moderate_load_cell`] — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
 //!   should be 2" observation across schedulers.
 
 use pdd::model::{Ddp, ProportionalModel};
@@ -138,32 +138,6 @@ pub fn feasibility(scale: Scale) -> Vec<FeasibilityProbe> {
     parallel_map(jobs)
 }
 
-/// Renders the feasibility sweep.
-pub fn render_feasibility(probes: &[FeasibilityProbe]) -> String {
-    let mut out =
-        banner("Ablation: Eq. (7) feasibility of Eq. (6) targets (4 classes, 40/30/20/10 loads)");
-    let mut t = Table::new(["util", "spacing", "feasible", "worst subset slack"]);
-    for p in probes {
-        t.row([
-            format!("{:.0}%", p.utilization * 100.0),
-            format!("{:.1}", p.spacing),
-            if p.feasible {
-                "yes".into()
-            } else {
-                "NO".to_string()
-            },
-            format!("{:+.3}", p.worst_slack),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: the Fig.1/Fig.2 operating points (spacing 2 and 4) are\n\
-         feasible; very wide spacings push the top class below its FCFS\n\
-         lower bound and leave the feasible region.\n",
-    );
-    out
-}
-
 /// One starvation probe: does a class-2 burst fully starve class 1?
 #[derive(Debug, Clone)]
 pub struct StarvationProbe {
@@ -216,35 +190,6 @@ pub fn starvation() -> Vec<StarvationProbe> {
         .collect()
 }
 
-/// Renders the starvation probes.
-pub fn render_starvation(probes: &[StarvationProbe]) -> String {
-    let mut out = banner("Ablation: Proposition 2 — WTP short-term starvation (R1 = 2R)");
-    let mut t = Table::new(["s2/s1", "1-R/R1", "s1/s2", "predicted", "observed"]);
-    for p in probes {
-        t.row([
-            format!("{:.1}", p.sdp_ratio),
-            format!("{:.2}", p.condition_lhs),
-            format!("{:.2}", p.condition_rhs),
-            if p.predicted { "starve" } else { "-" }.to_string(),
-            if p.observed { "starve" } else { "-" }.to_string(),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: for s2/s1 > 2 = 1/(1-R/R1), an arbitrarily long class-2\n\
-         burst is fully serviced before a class-1 packet that arrived with\n\
-         its first packet — exactly Proposition 2's threshold.\n",
-    );
-    out
-}
-
-/// Moderate-load undershoot comparison.
-#[derive(Debug, Clone)]
-pub struct ModerateLoad {
-    /// `(utilization, rows)` where each row is `(scheduler, mean ratio)`.
-    pub points: Vec<(f64, Vec<(SchedulerKind, f64)>)>,
-}
-
 /// The utilizations swept by the moderate-load ablation.
 pub const MODERATE_LOAD_UTILS: [f64; 4] = [0.70, 0.80, 0.90, 0.95];
 
@@ -265,47 +210,6 @@ pub fn moderate_load_cell(rho: f64, scale: Scale) -> (f64, Vec<(SchedulerKind, f
         .map(|(&k, r)| (k, r.ratios.iter().sum::<f64>() / r.ratios.len() as f64))
         .collect();
     (rho, rows)
-}
-
-/// Quantifies the moderate-load undershoot for WTP/BPR and shows the
-/// PAD/HPD extensions holding the target (target ratio 2).
-pub fn moderate_load(scale: Scale) -> ModerateLoad {
-    let jobs: Vec<_> = MODERATE_LOAD_UTILS
-        .into_iter()
-        .map(|rho| move || moderate_load_cell(rho, scale))
-        .collect();
-    ModerateLoad {
-        points: parallel_map(jobs),
-    }
-}
-
-impl ModerateLoad {
-    /// Renders the undershoot table.
-    pub fn render(&self) -> String {
-        let mut out =
-            banner("Ablation: moderate-load accuracy (mean successive ratio, target 2.0)");
-        let mut t = Table::new(["util", "WTP", "BPR", "PAD", "HPD"]);
-        for (rho, rows) in &self.points {
-            let mut cells = vec![format!("{:.0}%", rho * 100.0)];
-            cells.extend(rows.iter().map(|(_, r)| format!("{r:.2}")));
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nreading: WTP/BPR undershoot at 70-80% (the paper's \"about 1.5\n\
-             when it should be 2\"); PAD holds the long-term target at every\n\
-             load, HPD sits between — the §7 open problem and its later fix.\n",
-        );
-        out
-    }
-}
-
-/// PLR vs tail-drop loss differentiation on an overloaded lossy link.
-#[derive(Debug, Clone)]
-pub struct PlrStudy {
-    /// `(sigma_ratio, plr_loss_ratio, taildrop_loss_ratio, delay_ratio)`
-    /// rows for a 2-class WTP link at offered load ≈ 1.3.
-    pub rows: Vec<(f64, f64, f64, f64)>,
 }
 
 /// The loss-spacing targets σ₁/σ₂ swept by the PLR ablation.
@@ -355,48 +259,6 @@ pub fn plr_cell(sigma_ratio: f64, scale: Scale) -> (f64, f64, f64, f64) {
     )
 }
 
-/// Runs the §7 coupled delay+loss extension: WTP spaces the delays while
-/// the PLR dropper spaces the losses; tail-drop is the uncontrolled
-/// baseline.
-pub fn plr(scale: Scale) -> PlrStudy {
-    let jobs: Vec<_> = PLR_SIGMAS
-        .into_iter()
-        .map(|sigma_ratio| move || plr_cell(sigma_ratio, scale))
-        .collect();
-    PlrStudy {
-        rows: parallel_map(jobs),
-    }
-}
-
-/// Renders the PLR study.
-pub fn render_plr(study: &PlrStudy) -> String {
-    let mut out = banner(
-        "Ablation: proportional loss differentiation (2 classes, WTP, offered load 1.3, 6 kB buffer)",
-    );
-    let mut t = Table::new([
-        "target sigma1/sigma2",
-        "PLR loss ratio",
-        "tail-drop loss ratio",
-        "PLR delay ratio (target 2)",
-    ]);
-    for (sigma, plr, tail, delay) in &study.rows {
-        t.row([
-            format!("{sigma:.1}"),
-            format!("{plr:.2}"),
-            format!("{tail:.2}"),
-            format!("{delay:.2}"),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: the PLR push-out pins the class loss-fraction ratio to the\n\
-         chosen sigma spacing while tail-drop leaves it near 1 (uncontrolled);\n\
-         WTP keeps spacing the queueing delays on the same lossy link — the\n\
-         first step toward the paper's coupled delay+loss future work.\n",
-    );
-    out
-}
-
 /// The additive differentiation model (Eq. 3) measured at heavy load.
 #[derive(Debug, Clone)]
 pub struct AdditiveStudy {
@@ -430,32 +292,6 @@ pub fn additive(scale: Scale) -> AdditiveStudy {
         differences,
         targets,
     }
-}
-
-/// Renders the additive study.
-pub fn render_additive(study: &AdditiveStudy) -> String {
-    let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-    let mut out = banner("Ablation: additive differentiation (Eq. 3) at rho = 0.995");
-    let mut t = Table::new([
-        "pair",
-        "measured d_i - d_j (p-units)",
-        "target s_j - s_i (p-units)",
-    ]);
-    for (i, (diff, target)) in study.differences.iter().zip(&study.targets).enumerate() {
-        t.row([
-            format!("{}/{}", i + 1, i + 2),
-            format!("{:.1}", diff / p),
-            format!("{:.1}", target / p),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: with p_i(t) = w_i(t) + s_i the heavy-load class delays are\n\
-         spaced by constant differences D_ij ~= s_j - s_i (the paper's Eq. 3\n\
-         observation), not constant ratios — the contrast that motivates the\n\
-         proportional model.\n",
-    );
-    out
 }
 
 /// Simulator-vs-theory comparison under Poisson arrivals.
@@ -527,36 +363,6 @@ pub fn analytic(scale: Scale) -> AnalyticCheck {
     AnalyticCheck { rows }
 }
 
-/// Renders the analytic check.
-pub fn render_analytic(check: &AnalyticCheck) -> String {
-    let mut out =
-        banner("Ablation: simulator vs exact M/G/1 theory (Poisson arrivals, rho = 0.9, p-units)");
-    let mut t = Table::new(["scheduler", "class", "simulated", "theory", "error"]);
-    for (kind, c, m, p) in &check.rows {
-        t.row([
-            kind.name().to_string(),
-            format!("{}", c + 1),
-            format!("{m:.1}"),
-            format!("{p:.1}"),
-            format!("{:+.1}%", (m / p - 1.0) * 100.0),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: FCFS matches Pollaczek-Khinchine, strict priority matches\n\
-         Cobham, and WTP matches Kleinrock's Time-Dependent Priorities — the\n\
-         simulator agrees with independent closed forms to Monte-Carlo noise.\n",
-    );
-    out
-}
-
-/// End-to-end differentiation on partially deployed paths.
-#[derive(Debug, Clone)]
-pub struct MixedPath {
-    /// `(label, R_D, inconsistent experiments)` per deployment scenario.
-    pub rows: Vec<(&'static str, f64, usize)>,
-}
-
 /// The mixed-path deployment scenarios: `(label, per-hop schedulers)`.
 pub fn mixed_path_scenarios() -> Vec<(&'static str, Vec<SchedulerKind>)> {
     vec![
@@ -602,36 +408,6 @@ pub fn mixed_path_cell(scenario: usize, scale: Scale) -> (&'static str, f64, usi
     (label, r.rd, r.inconsistent_experiments)
 }
 
-/// Measures how a path with legacy (FCFS) hops dilutes the end-to-end
-/// differentiation: all-WTP vs one FCFS hop vs half FCFS vs all-FCFS, on a
-/// 4-hop Figure-6 chain at ρ = 0.95.
-pub fn mixed_path(scale: Scale) -> MixedPath {
-    let jobs: Vec<_> = (0..mixed_path_scenarios().len())
-        .map(|i| move || mixed_path_cell(i, scale))
-        .collect();
-    MixedPath {
-        rows: parallel_map(jobs),
-    }
-}
-
-/// Renders the mixed-path study.
-pub fn render_mixed_path(study: &MixedPath) -> String {
-    let mut out = banner(
-        "Ablation: partially deployed differentiation (4-hop path, rho = 0.95, ideal R_D 2.0)",
-    );
-    let mut t = Table::new(["per-hop schedulers", "end-to-end R_D", "inconsistent exps"]);
-    for (label, rd, inc) in &study.rows {
-        t.row([label.to_string(), format!("{rd:.2}"), format!("{inc}")]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: every legacy FCFS hop pulls the end-to-end ratio toward 1;\n\
-         differentiation survives partial deployment but weakens per legacy\n\
-         hop — deployment coverage is itself a tuning knob.\n",
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,7 +451,6 @@ mod tests {
                 p.sdp_ratio, p.predicted, p.observed
             );
         }
-        assert!(render_starvation(&probes).contains("Proposition 2"));
     }
 
     #[test]
@@ -689,14 +464,12 @@ mod tests {
                 p.utilization * 100.0
             );
         }
-        assert!(render_feasibility(&probes).contains("feasibility"));
     }
 
     #[test]
     fn pad_fixes_moderate_load_undershoot() {
-        let m = moderate_load(Scale::Bench);
-        let (rho, rows) = &m.points[0];
-        assert!((*rho - 0.70).abs() < 1e-9);
+        let (rho, rows) = moderate_load_cell(MODERATE_LOAD_UTILS[0], Scale::Bench);
+        assert!((rho - 0.70).abs() < 1e-9);
         let get = |kind| {
             rows.iter()
                 .find(|(k, _)| *k == kind)
@@ -710,13 +483,15 @@ mod tests {
             (pad - 2.0).abs() < (wtp - 2.0).abs() + 0.05,
             "PAD {pad} should be closer to 2.0 than WTP {wtp}"
         );
-        assert!(m.render().contains("moderate-load"));
     }
 
     #[test]
     fn plr_controls_losses_tail_drop_does_not() {
-        let study = plr(Scale::Bench);
-        for (sigma, plr_ratio, tail_ratio, delay_ratio) in &study.rows {
+        let jobs: Vec<_> = PLR_SIGMAS
+            .into_iter()
+            .map(|sigma| move || plr_cell(sigma, Scale::Bench))
+            .collect();
+        for (sigma, plr_ratio, tail_ratio, delay_ratio) in &parallel_map(jobs) {
             assert!(
                 (plr_ratio - sigma).abs() / sigma < 0.35,
                 "sigma {sigma}: PLR ratio {plr_ratio}"
@@ -727,7 +502,6 @@ mod tests {
             );
             assert!(*delay_ratio > 1.3, "WTP still differentiates delays");
         }
-        assert!(render_plr(&study).contains("loss"));
     }
 
     #[test]
@@ -745,7 +519,6 @@ mod tests {
                 "difference {diff} vs target {target}"
             );
         }
-        assert!(render_additive(&study).contains("additive"));
     }
 
     #[test]
@@ -758,15 +531,16 @@ mod tests {
                 kind.name()
             );
         }
-        assert!(render_analytic(&check).contains("theory"));
     }
 
     #[test]
     fn mixed_paths_interpolate_between_wtp_and_fcfs() {
-        let m = mixed_path(Scale::Bench);
+        let jobs: Vec<_> = (0..mixed_path_scenarios().len())
+            .map(|i| move || mixed_path_cell(i, Scale::Bench))
+            .collect();
+        let rows = parallel_map(jobs);
         let rd = |label: &str| {
-            m.rows
-                .iter()
+            rows.iter()
                 .find(|(l, _, _)| *l == label)
                 .map(|(_, r, _)| *r)
                 .unwrap()
@@ -777,6 +551,5 @@ mod tests {
         assert!(full > one, "full {full} vs one-FCFS {one}");
         assert!(one > none, "one-FCFS {one} vs FCFS {none}");
         assert!((none - 1.0).abs() < 0.25, "all-FCFS R_D {none}");
-        assert!(render_mixed_path(&m).contains("partially deployed"));
     }
 }

@@ -24,10 +24,10 @@ use pdd::qsim::Session;
 use pdd::scenario::{DownPolicy, Scenario};
 use pdd::sched::{SchedulerKind, Sdp};
 use pdd::simcore::Time;
-use pdd::stats::{reconvergence_times, ReconvergenceConfig, Table};
+use pdd::stats::{reconvergence_times, ReconvergenceConfig};
 use pdd::traffic::{LoadPlan, SizeDist, PAPER_MEAN_PACKET_BYTES};
 
-use crate::{banner, parallel_map, Scale};
+use crate::Scale;
 
 /// Utilization for all dynamics cells — high enough that the schedulers
 /// track their targets tightly once converged.
@@ -217,58 +217,6 @@ pub fn merge_seeds(
     }
 }
 
-/// The full study: both schedulers × both perturbations.
-#[derive(Debug, Clone)]
-pub struct Dynamics {
-    /// One row per (scheduler, perturbation), scheduler-major.
-    pub rows: Vec<DynamicsRow>,
-}
-
-/// Regenerates the dynamics study.
-pub fn run(scale: Scale) -> Dynamics {
-    let mut jobs = Vec::new();
-    for &scheduler in &SCHEDULERS {
-        for &perturbation in &PERTURBATIONS {
-            jobs.push(move || cell(scheduler, perturbation, scale));
-        }
-    }
-    Dynamics {
-        rows: parallel_map(jobs),
-    }
-}
-
-impl Dynamics {
-    /// Renders the reconvergence table.
-    pub fn render(&self) -> String {
-        let mut out = banner("Dynamics: reconvergence after live perturbations (ρ = 0.95)");
-        let mut t = Table::new(["scheduler", "perturbation", "1/2", "2/3", "3/4", "mean"]);
-        for row in &self.rows {
-            let mut cells = vec![
-                row.scheduler.name().to_string(),
-                row.perturbation.name().to_string(),
-            ];
-            for (mean, &k) in row.mean_settle_punits.iter().zip(&row.settled) {
-                cells.push(match mean {
-                    Some(m) => format!("{m:.0} p ({k}/{})", row.seeds),
-                    None => "—".into(),
-                });
-            }
-            cells.push(match row.headline_punits() {
-                Some(m) => format!("{m:.0} p"),
-                None => "—".into(),
-            });
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nSettling time from the perturbation to the start of the first run of\n\
-             3 consecutive 250-p-unit windows whose achieved ratio stays within\n\
-             ±25 % of target; (k/N) = seeds that settled within the horizon.\n",
-        );
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,30 +244,5 @@ mod tests {
             row.settled.iter().any(|&k| k > 0),
             "no pair settled after the flap: {row:?}"
         );
-    }
-
-    #[test]
-    fn render_mentions_both_schedulers() {
-        let d = Dynamics {
-            rows: vec![
-                DynamicsRow {
-                    scheduler: SchedulerKind::Wtp,
-                    perturbation: Perturbation::SdpStep,
-                    seeds: 2,
-                    settled: vec![2, 1, 0],
-                    mean_settle_punits: vec![Some(500.0), Some(1000.0), None],
-                },
-                DynamicsRow {
-                    scheduler: SchedulerKind::Hpd,
-                    perturbation: Perturbation::SdpStep,
-                    seeds: 2,
-                    settled: vec![0, 0, 0],
-                    mean_settle_punits: vec![None, None, None],
-                },
-            ],
-        };
-        let s = d.render();
-        assert!(s.contains("WTP") && s.contains("HPD"));
-        assert!(s.contains("500 p"));
     }
 }

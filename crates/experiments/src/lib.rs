@@ -1,12 +1,12 @@
 //! # experiments — the table/figure regeneration harness
 //!
-//! One module per experiment in the paper's evaluation; each exposes a
-//! `run(scale)` returning structured results plus a `render()`d report that
-//! prints the same rows/series the paper shows, and per-cell `cell(...)`
-//! functions that the orchestrator crate schedules, caches, and merges.
-//! The bench crate regenerates the same experiments at [`Scale::Bench`];
-//! the `propdiff-run` and `all_experiments` binaries live in the
-//! orchestrator crate.
+//! One module per experiment in the paper's evaluation; each exposes
+//! per-cell `cell(...)` functions that the orchestrator crate schedules,
+//! caches, and merges. The figure and table modules also expose a
+//! `run(scale)` returning structured results with a `render()`ed report
+//! that prints the same rows/series the paper shows. The bench crate
+//! regenerates the same experiments at [`Scale::Bench`]; the
+//! `propdiff-run` binary lives in the orchestrator crate.
 //!
 //! | module | reproduces |
 //! |--------|------------|

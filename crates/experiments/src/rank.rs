@@ -24,10 +24,9 @@
 
 use pdd::qsim::Experiment;
 use pdd::sched::{RankKind, SchedulerKind, Sdp};
-use pdd::stats::Table;
 use pdd::telemetry::{NoopProbe, Probe};
 
-use crate::{banner, fig1, parallel_map, Scale};
+use crate::Scale;
 
 /// The two schedulers each cell compares: the static-slack LSTF rank core
 /// and bespoke WTP (the proportional reference).
@@ -110,60 +109,6 @@ pub fn merge_seeds(sdp_ratio: f64, utilization: f64, per_seed: &[Vec<Vec<f64>>])
     }
 }
 
-/// The full probe: both spacings × the Figure-1 utilization sweep.
-#[derive(Debug, Clone)]
-pub struct RankStudy {
-    /// Rows, spacing-major then utilization-ascending.
-    pub rows: Vec<RankRow>,
-}
-
-/// Regenerates the rank study.
-pub fn run(scale: Scale) -> RankStudy {
-    let mut jobs = Vec::new();
-    for &sdp_ratio in &SDP_RATIOS {
-        for &utilization in &fig1::UTILIZATIONS {
-            jobs.push(move || cell(sdp_ratio, utilization, scale));
-        }
-    }
-    RankStudy {
-        rows: parallel_map(jobs),
-    }
-}
-
-impl RankStudy {
-    /// Renders the universality table.
-    pub fn render(&self) -> String {
-        let mut out = banner("Rank suite: static-slack LSTF vs WTP across the Fig.-1 load grid");
-        let mut t = Table::new([
-            "target", "util", "LSTF 1/2", "LSTF 2/3", "LSTF 3/4", "LSTF dev", "WTP dev",
-        ]);
-        for row in &self.rows {
-            let mut cells = vec![
-                format!("{:.0}", row.sdp_ratio),
-                format!("{:.1}%", row.utilization * 100.0),
-            ];
-            cells.extend(row.lstf.iter().map(|r| format!("{r:.2}")));
-            cells.push(format!(
-                "{:.0}%",
-                mean_deviation(&row.lstf, row.sdp_ratio) * 100.0
-            ));
-            cells.push(format!(
-                "{:.0}%",
-                mean_deviation(&row.wtp, row.sdp_ratio) * 100.0
-            ));
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nLSTF's static slack budgets (∝ 1/s_i) impose constant delay offsets:\n\
-             the achieved ratios drift with load instead of holding the target,\n\
-             while WTP's deviation stays small across the sweep — one static slack\n\
-             assignment is not universal over unknown loads.\n",
-        );
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +133,5 @@ mod tests {
             wtp_dev < lstf_dev,
             "expected WTP ({wtp_dev:.3}) to beat static-slack LSTF ({lstf_dev:.3})"
         );
-    }
-
-    #[test]
-    fn render_lists_the_full_grid() {
-        let s = run(Scale::Custom {
-            punits: 1_000,
-            nseeds: 1,
-        });
-        assert_eq!(s.rows.len(), SDP_RATIOS.len() * fig1::UTILIZATIONS.len());
-        let text = s.render();
-        assert!(text.contains("LSTF"));
-        assert!(text.contains("99.9%"));
     }
 }

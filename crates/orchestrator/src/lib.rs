@@ -19,12 +19,8 @@
 //! coordination substrate — exactly-once work, crash-resume, and zero-work
 //! warm merges. A warm re-run does zero simulation work.
 //!
-//! Two binaries front this crate:
-//!
-//! - `propdiff-run` — the cached, parallel path (`run`, `render`, `list`
-//!   subcommands; see its `--help`).
-//! - `all_experiments` — the sequential compatibility wrapper, printing the
-//!   same reports the retired per-figure binaries printed.
+//! The `propdiff-run` binary fronts this crate: the cached, parallel path
+//! (`run`, `render`, `list` subcommands; see its `--help`).
 //!
 //! The [`render`] module closes the docs loop: measured-number tables in
 //! `EXPERIMENTS.md` live between `<!-- generated:NAME -->` markers and are
