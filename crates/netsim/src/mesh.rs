@@ -118,12 +118,10 @@ impl MeshConfig {
             // A route that revisits a link would let a packet race itself
             // through the same queue; the engine's per-packet hop counter
             // assumes loop-free routes.
-            let mut seen = vec![false; self.links.len()];
-            for &l in &f.route {
-                if seen[l] {
+            for (h, &l) in f.route.iter().enumerate() {
+                if f.route[..h].contains(&l) {
                     return Err(format!("flow {i} visits link {l} twice"));
                 }
-                seen[l] = true;
             }
             if f.class as usize >= self.sdp.num_classes() {
                 return Err(format!("flow {i} uses class {} without an SDP", f.class));
@@ -146,7 +144,8 @@ impl MeshConfig {
 
     /// Expands every link's [`CrossTraffic`](crate::CrossTraffic) model
     /// into explicit single-hop Pareto [`MeshFlow`]s emitting from tick 1
-    /// until `until_ticks`, and clears the models. The engine only accepts
+    /// until `until_ticks`, clears the models, and validates the result.
+    /// Consumes the config, so nothing is copied. The engine only accepts
     /// configs without unmaterialized cross models, so this is the bridge
     /// from the declarative [`LinkSpec`] surface to the event loop.
     ///
@@ -156,10 +155,11 @@ impl MeshConfig {
     ///
     /// Rejects `EcnAdaptive` cross models (closed-loop sources cannot be
     /// expressed as open-loop flows) and invalid cross parameters.
-    pub fn materialize_cross(&self, until_ticks: u64) -> Result<MeshConfig, String> {
-        let mut out = self.clone();
-        for (l, spec) in self.links.iter().enumerate() {
-            let Some(cross) = &spec.cross else { continue };
+    pub fn materialize_cross(mut self, until_ticks: u64) -> Result<MeshConfig, String> {
+        for l in 0..self.links.len() {
+            let Some(cross) = self.links[l].cross.take() else {
+                continue;
+            };
             cross
                 .validate(self.sdp.num_classes())
                 .map_err(|e| format!("link {l}: {e}"))?;
@@ -173,11 +173,12 @@ impl MeshConfig {
                 if frac <= 0.0 {
                     continue;
                 }
-                let per_source_bps = cross.utilization * spec.bps * frac / cross.sources as f64;
+                let per_source_bps =
+                    cross.utilization * self.links[l].bps * frac / cross.sources as f64;
                 let mean_gap_ticks =
                     cross.packet_bytes as f64 * 8.0 / per_source_bps * crate::TICKS_PER_SEC as f64;
                 for _ in 0..cross.sources {
-                    out.flows.push(MeshFlow {
+                    self.flows.push(MeshFlow {
                         route: vec![l],
                         class: c as u8,
                         packet_bytes: cross.packet_bytes,
@@ -189,10 +190,9 @@ impl MeshConfig {
                     });
                 }
             }
-            out.links[l].cross = None;
         }
-        out.validate()?;
-        Ok(out)
+        self.validate()?;
+        Ok(self)
     }
 }
 

@@ -283,16 +283,18 @@ impl Topology {
         let mut n = src;
         while n != dst {
             // Equal-cost next hops, in ascending link-id order (adjacency
-            // lists are built in insertion order).
-            let candidates: Vec<usize> = self.adj[n]
-                .iter()
-                .copied()
-                .filter(|&l| {
+            // lists are built in insertion order): count them, then take
+            // the hashed one without collecting the candidates.
+            let candidates = || {
+                self.adj[n].iter().copied().filter(|&l| {
                     let m = self.links[l].dst;
                     dd[m] != u32::MAX && dd[m] + 1 == dd[n]
                 })
-                .collect();
-            let pick = candidates[(splitmix64(key ^ n as u64) % candidates.len() as u64) as usize];
+            };
+            let count = candidates().count() as u64;
+            let pick = candidates()
+                .nth((splitmix64(key ^ n as u64) % count) as usize)
+                .expect("a reachable node has an equal-cost next hop");
             path.push(pick);
             n = self.links[pick].dst;
         }

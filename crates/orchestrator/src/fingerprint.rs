@@ -10,11 +10,13 @@
 use std::path::{Path, PathBuf};
 
 /// Crates (directory names under `crates/`) whose sources feed the
-/// fingerprint. The orchestrator is deliberately absent — the runner only
-/// schedules. Telemetry joined the list when the conformance monitor
-/// became a result producer: a monitor cell's violation counts are
-/// computed by telemetry code, so edits there must invalidate its cells.
-pub const FINGERPRINT_CRATES: [&str; 9] = [
+/// fingerprint: `experiments` and every crate it reaches through normal
+/// path dependencies, which a unit test checks against the manifests. The
+/// orchestrator is deliberately absent — the runner only schedules. `rand`
+/// is the RNG behind every traffic generator and `scenario` the timelines
+/// behind the dynamics and monitor cells, so editing either must
+/// invalidate cached cells too.
+pub const FINGERPRINT_CRATES: [&str; 11] = [
     "simcore",
     "traffic",
     "sched",
@@ -24,6 +26,8 @@ pub const FINGERPRINT_CRATES: [&str; 9] = [
     "core",
     "experiments",
     "telemetry",
+    "rand",
+    "scenario",
 ];
 
 /// FNV-1a 64-bit streaming hasher (dependency-free, stable across runs —
@@ -130,6 +134,64 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// The directories under `crates/` that `krate`'s manifest names as
+    /// normal (non-dev) dependencies, resolving `workspace = true` through
+    /// the root manifest's `[workspace.dependencies]`.
+    fn path_dependencies(root: &Path, krate: &str) -> Vec<String> {
+        let section = |manifest: &str, header: &str| -> Vec<(String, String)> {
+            let mut inside = false;
+            let mut deps = Vec::new();
+            for line in manifest.lines().map(str::trim) {
+                if line.starts_with('[') {
+                    inside = line == header;
+                } else if let (true, Some((name, spec))) = (inside, line.split_once('=')) {
+                    deps.push((name.trim().to_string(), spec.trim().to_string()));
+                }
+            }
+            deps
+        };
+        let path_of = |spec: &str| -> Option<String> {
+            let rest = spec.split("path = \"").nth(1)?;
+            Some(rest[..rest.find('"')?].to_string())
+        };
+        let read = |p: PathBuf| std::fs::read_to_string(&p).expect("manifest is readable");
+        let workspace = section(&read(root.join("Cargo.toml")), "[workspace.dependencies]");
+        let manifest = read(root.join("crates").join(krate).join("Cargo.toml"));
+        section(&manifest, "[dependencies]")
+            .into_iter()
+            .filter_map(|(name, spec)| {
+                let path = if spec.contains("workspace = true") {
+                    let (_, ws) = workspace.iter().find(|(n, _)| *n == name)?;
+                    path_of(ws)?
+                } else {
+                    path_of(&spec)?
+                };
+                Path::new(&path)
+                    .file_name()
+                    .map(|d| d.to_string_lossy().into_owned())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fingerprint_covers_the_dependency_closure_of_experiments() {
+        let root = workspace_root();
+        let mut closure = vec!["experiments".to_string()];
+        let mut i = 0;
+        while i < closure.len() {
+            for dep in path_dependencies(&root, &closure[i]) {
+                if !closure.contains(&dep) {
+                    closure.push(dep);
+                }
+            }
+            i += 1;
+        }
+        closure.sort();
+        let mut listed: Vec<String> = FINGERPRINT_CRATES.iter().map(|c| c.to_string()).collect();
+        listed.sort();
+        assert_eq!(listed, closure);
     }
 
     #[test]
