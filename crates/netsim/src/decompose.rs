@@ -340,6 +340,7 @@ impl<'a> DecomposeInput<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv;
     use crate::link::LinkSpec;
     use sched::{SchedulerKind, Sdp};
 
@@ -478,13 +479,6 @@ mod tests {
         assert_eq!(dec.class_hop_packets[2], 10, "5 packets x 2 hops");
         assert_eq!(dec.class_hop_hist[2].count(), 10);
         assert_eq!(dec.class_flow_e2e[2].count(), 1);
-    }
-
-    /// FNV-1a over 64-bit words: a stable fingerprint of the outputs.
-    fn fnv(h: &mut u64, x: u64) {
-        for b in x.to_le_bytes() {
-            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
     }
 
     #[test]

@@ -51,3 +51,12 @@ pub use topology::{HostFlow, NodeKind, Routes, TopoLink, Topology, TopologyConfi
 
 /// Ticks per second (1 tick = 1 ns).
 pub const TICKS_PER_SEC: u64 = 1_000_000_000;
+
+/// FNV-1a over 64-bit words: a stable fingerprint of simulation outputs
+/// for the bit-for-bit pin tests.
+#[cfg(test)]
+pub(crate) fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
