@@ -57,14 +57,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.seq;
@@ -81,23 +73,32 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Removes and returns the earliest event if it is due at or before
-    /// `horizon`; leaves the queue untouched otherwise.
-    ///
-    /// This is the single-call replacement for a `peek_time` + `pop` pair:
-    /// the run loop's bounds test and removal share one heap access, and
-    /// `None` means either "empty" or "next event is past the horizon"
-    /// (disambiguate with [`EventQueue::is_empty`]).
-    pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time <= horizon => self.heap.pop().map(|e| (e.time, e.event)),
-            _ => None,
-        }
+    /// The earliest pending event and its timestamp, left in the queue.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<(Time, &E)> {
+        self.heap.peek().map(|e| (e.time, &e.event))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
+    /// Overwrites the earliest pending event with `event` at `at`, which
+    /// takes the next sequence number exactly as [`push`](Self::push)
+    /// would. One sift-down restores the heap, where a pop followed by a
+    /// push would sift twice; the pending set, and so the pop order, is
+    /// the same either way.
+    ///
+    /// # Panics
+    /// Panics if the queue is empty.
+    #[inline]
+    pub(crate) fn replace_top(&mut self, at: Time, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
+        *self
+            .heap
+            .peek_mut()
+            .expect("replace_top needs a pending event") = Entry {
+            time: at,
+            seq,
+            event,
+        };
     }
 
     /// Number of pending events.
@@ -108,11 +109,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Discards all pending events (the FIFO sequence counter keeps going).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -149,49 +145,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(q.pop(), Some((Time::from_ticks(5), i)));
         }
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(Time::from_ticks(7), ());
-        q.push(Time::from_ticks(3), ());
-        assert_eq!(q.peek_time(), Some(Time::from_ticks(3)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(Time::from_ticks(7)));
-    }
-
-    #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        q.push(Time::ZERO, 1);
-        q.push(Time::ZERO, 2);
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_at_or_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ticks(10), "late");
-        q.push(Time::from_ticks(5), "due");
-        assert_eq!(
-            q.pop_at_or_before(Time::from_ticks(5)),
-            Some((Time::from_ticks(5), "due"))
-        );
-        // The remaining event is past the horizon: not popped, not lost.
-        assert_eq!(q.pop_at_or_before(Time::from_ticks(9)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(
-            q.pop_at_or_before(Time::from_ticks(10)),
-            Some((Time::from_ticks(10), "late"))
-        );
-        assert_eq!(q.pop_at_or_before(Time::from_ticks(u64::MAX)), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`EventQueue`] — a binary-heap priority queue with FIFO tie-breaking:
 //!   events scheduled for the same tick pop in the order they were pushed.
 //! * [`Simulation`] / [`Model`] — a minimal runner: models describe how to
-//!   handle one event and may schedule further events through [`Context`].
+//!   handle one event and may schedule further events through [`Context`],
+//!   which writes them straight into the queue (the first follow-up takes
+//!   the handled event's slot in place).
 //!
 //! The higher layers (`qsim`, the single-link Study-A harness, and `netsim`,
 //! the multi-hop Study-B simulator) define their own event enums on top of
@@ -36,8 +38,8 @@
 //! let mut sim = Simulation::new(Ping { count: 0 });
 //! sim.schedule(Time::ZERO, ());
 //! sim.run();
-//! assert_eq!(sim.model().count, 3);
 //! assert_eq!(sim.now(), Time::from_ticks(20));
+//! assert_eq!(sim.into_model().count, 3);
 //! ```
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,5 +49,5 @@ mod sim;
 mod time;
 
 pub use event::EventQueue;
-pub use sim::{Context, HeartbeatFn, Model, RunOutcome, Simulation};
+pub use sim::{Context, Model, RunOutcome, Simulation};
 pub use time::{Dur, Time};

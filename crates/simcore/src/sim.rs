@@ -9,22 +9,31 @@ use crate::time::{Dur, Time};
 /// event at a time, in timestamp order, and collects the follow-up events
 /// the model schedules through [`Context`].
 pub trait Model {
-    /// The event alphabet of this model.
-    type Event;
+    /// The event alphabet of this model. The runner hands the model a
+    /// clone of the event while the original still holds its queue slot
+    /// (see [`Simulation`]), so events should be cheap to clone; plain
+    /// `Copy` enums are the intended shape.
+    type Event: Clone;
 
     /// Handles one event occurring at `ctx.now()`.
-    fn handle(&mut self, event: Self::Event, ctx: &mut Context<Self::Event>);
+    fn handle(&mut self, event: Self::Event, ctx: &mut Context<'_, Self::Event>);
 }
 
 /// Handle given to [`Model::handle`] for reading the clock and scheduling
 /// follow-up events.
-pub struct Context<E> {
+///
+/// Follow-ups go straight into the event queue. While the model runs, the
+/// event being handled still sits at the top of the queue; the first
+/// follow-up overwrites it in place and later ones are pushed.
+pub struct Context<'q, E> {
     now: Time,
-    pending: Vec<(Time, E)>,
+    queue: &'q mut EventQueue<E>,
+    // True until the first follow-up takes over the handled event's slot.
+    handled_on_top: bool,
     stop: bool,
 }
 
-impl<E> Context<E> {
+impl<E> Context<'_, E> {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> Time {
@@ -36,6 +45,7 @@ impl<E> Context<E> {
     /// # Panics
     /// Panics if `at` is before the current time: discrete-event
     /// simulations must never schedule into the past.
+    #[inline]
     pub fn schedule(&mut self, at: Time, event: E) {
         assert!(
             at >= self.now,
@@ -43,17 +53,38 @@ impl<E> Context<E> {
             self.now,
             at
         );
-        self.pending.push((at, event));
+        self.enqueue(at, event);
     }
 
     /// Schedules `event` after a relative delay.
+    ///
+    /// # Panics
+    /// Panics if `now + delay` does not fit in [`Time`]: a wrapped sum
+    /// would land in the past.
+    #[inline]
     pub fn schedule_in(&mut self, delay: Dur, event: E) {
-        self.pending.push((self.now + delay, event));
+        let Some(at) = self.now.checked_add(delay) else {
+            panic!(
+                "schedule_in overflows virtual time: now={}, delay={}",
+                self.now, delay
+            );
+        };
+        self.enqueue(at, event);
     }
 
     /// Requests that the run loop stop after this event is handled.
     pub fn stop(&mut self) {
         self.stop = true;
+    }
+
+    #[inline]
+    fn enqueue(&mut self, at: Time, event: E) {
+        if self.handled_on_top {
+            self.handled_on_top = false;
+            self.queue.replace_top(at, event);
+        } else {
+            self.queue.push(at, event);
+        }
     }
 }
 
@@ -62,36 +93,26 @@ impl<E> Context<E> {
 pub enum RunOutcome {
     /// The event queue drained completely.
     Drained,
-    /// The horizon passed to [`Simulation::run_until`] was reached.
-    HorizonReached,
     /// The event budget passed to [`Simulation::run_for_events`] was spent.
     EventBudgetSpent,
     /// The model called [`Context::stop`].
     Stopped,
 }
 
-/// A heartbeat observer: `(virtual time, events handled, queue depth)`.
-///
-/// `simcore` sits below the telemetry crate in the dependency graph, so the
-/// hook is a plain boxed callback; telemetry adapts it onto its probe
-/// vocabulary at the call site.
-pub type HeartbeatFn = Box<dyn FnMut(Time, u64, usize)>;
-
 /// A discrete-event simulation: a [`Model`] plus an event queue and a clock.
+///
+/// Dispatch contract: the earliest pending event (by time, then by
+/// scheduling order) is handed to the model while its entry stays at the
+/// top of the queue. The model's first follow-up replaces that entry in
+/// place; further follow-ups are pushed; with none, the entry is popped
+/// after the model returns. Sequence numbers are taken in scheduling order
+/// either way, so the pending set, and hence the `(time, seq)` FIFO order,
+/// is exactly that of popping first and pushing afterwards.
 pub struct Simulation<M: Model> {
     model: M,
     queue: EventQueue<M::Event>,
     now: Time,
     handled: u64,
-    // Backing storage for `Context::pending`, recycled across events so the
-    // hot loop never allocates: it is moved into the `Context` for the
-    // duration of `Model::handle` and taken back (drained, capacity kept)
-    // afterwards.
-    pending_buf: Vec<(Time, M::Event)>,
-    // Deepest the event queue has ever been (pressure diagnostic).
-    heap_high_water: usize,
-    // Progress callback fired every `.0` handled events, if installed.
-    heartbeat: Option<(u64, HeartbeatFn)>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -102,32 +123,7 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             now: Time::ZERO,
             handled: 0,
-            pending_buf: Vec::new(),
-            heap_high_water: 0,
-            heartbeat: None,
         }
-    }
-
-    /// Installs a progress heartbeat: `f(now, events_handled, queue_depth)`
-    /// fires after every `every`-th handled event, so long runs are
-    /// observably alive. Replaces any previous heartbeat.
-    ///
-    /// # Panics
-    /// Panics if `every` is zero.
-    pub fn set_heartbeat(&mut self, every: u64, f: impl FnMut(Time, u64, usize) + 'static) {
-        assert!(every > 0, "heartbeat interval must be positive");
-        self.heartbeat = Some((every, Box::new(f)));
-    }
-
-    /// Removes the heartbeat installed by [`set_heartbeat`](Self::set_heartbeat).
-    pub fn clear_heartbeat(&mut self) {
-        self.heartbeat = None;
-    }
-
-    /// The deepest the event queue has ever been — a pressure diagnostic
-    /// for models that fan events out faster than they retire them.
-    pub fn heap_high_water(&self) -> usize {
-        self.heap_high_water
     }
 
     /// Current event-queue depth.
@@ -143,11 +139,6 @@ impl<M: Model> Simulation<M> {
     /// Total number of events handled so far.
     pub fn events_handled(&self) -> u64 {
         self.handled
-    }
-
-    /// Read access to the model.
-    pub fn model(&self) -> &M {
-        &self.model
     }
 
     /// Mutable access to the model (e.g. to extract collected statistics).
@@ -171,47 +162,33 @@ impl<M: Model> Simulation<M> {
         self.queue.push(at, event);
     }
 
-    /// Handles a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        self.step_inner().is_some()
-    }
-
-    fn step_inner(&mut self) -> Option<bool> {
-        let (t, ev) = self.queue.pop()?;
-        Some(self.dispatch(t, ev))
-    }
-
-    /// Hands one already-popped event to the model and reschedules its
-    /// follow-ups. Returns the model's stop request.
-    fn dispatch(&mut self, t: Time, ev: M::Event) -> bool {
+    /// Handles the earliest pending event under the dispatch contract.
+    /// Returns `None` if the queue was empty, else the model's stop
+    /// request.
+    #[inline]
+    fn step(&mut self) -> Option<bool> {
+        let (t, ev) = self.queue.peek().map(|(t, ev)| (t, ev.clone()))?;
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
         let mut ctx = Context {
             now: t,
-            pending: std::mem::take(&mut self.pending_buf),
+            queue: &mut self.queue,
+            handled_on_top: true,
             stop: false,
         };
         self.model.handle(ev, &mut ctx);
+        let (handled_on_top, stop) = (ctx.handled_on_top, ctx.stop);
+        if handled_on_top {
+            self.queue.pop();
+        }
         self.handled += 1;
-        for (at, ev) in ctx.pending.drain(..) {
-            self.queue.push(at, ev);
-        }
-        self.pending_buf = ctx.pending;
-        if self.queue.len() > self.heap_high_water {
-            self.heap_high_water = self.queue.len();
-        }
-        if let Some((every, f)) = &mut self.heartbeat {
-            if self.handled.is_multiple_of(*every) {
-                f(self.now, self.handled, self.queue.len());
-            }
-        }
-        ctx.stop
+        Some(stop)
     }
 
     /// Runs until the event queue drains or the model stops the loop.
     pub fn run(&mut self) -> RunOutcome {
         loop {
-            match self.step_inner() {
+            match self.step() {
                 None => return RunOutcome::Drained,
                 Some(true) => return RunOutcome::Stopped,
                 Some(false) => {}
@@ -219,26 +196,10 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Runs until no pending event is at or before `horizon` (events *at*
-    /// the horizon are handled), the queue drains, or the model stops.
-    pub fn run_until(&mut self, horizon: Time) -> RunOutcome {
-        loop {
-            match self.queue.pop_at_or_before(horizon) {
-                Some((t, ev)) => {
-                    if self.dispatch(t, ev) {
-                        return RunOutcome::Stopped;
-                    }
-                }
-                None if self.queue.is_empty() => return RunOutcome::Drained,
-                None => return RunOutcome::HorizonReached,
-            }
-        }
-    }
-
     /// Runs for at most `budget` further events.
     pub fn run_for_events(&mut self, budget: u64) -> RunOutcome {
         for _ in 0..budget {
-            match self.step_inner() {
+            match self.step() {
                 None => return RunOutcome::Drained,
                 Some(true) => return RunOutcome::Stopped,
                 Some(false) => {}
@@ -280,31 +241,13 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(sim.now(), Time::from_ticks(12));
         assert_eq!(sim.events_handled(), 5);
-        let ticks: Vec<u64> = sim.model().fired_at.iter().map(|t| t.ticks()).collect();
+        let ticks: Vec<u64> = sim
+            .into_model()
+            .fired_at
+            .iter()
+            .map(|t| t.ticks())
+            .collect();
         assert_eq!(ticks, vec![0, 3, 6, 9, 12]);
-    }
-
-    #[test]
-    fn run_until_respects_horizon_inclusive() {
-        let mut sim = Simulation::new(Ticker {
-            reps: 100,
-            gap: Dur::from_ticks(10),
-            fired_at: Vec::new(),
-        });
-        sim.schedule(Time::ZERO, ());
-        assert_eq!(
-            sim.run_until(Time::from_ticks(30)),
-            RunOutcome::HorizonReached
-        );
-        // Events at t=0,10,20,30 handled; next pending is t=40.
-        assert_eq!(sim.model().fired_at.len(), 4);
-        assert_eq!(sim.now(), Time::from_ticks(30));
-        // Continuing picks up where we left off.
-        assert_eq!(
-            sim.run_until(Time::from_ticks(45)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(sim.now(), Time::from_ticks(40));
     }
 
     #[test]
@@ -342,8 +285,8 @@ mod tests {
     #[test]
     fn stop_still_flushes_followups_to_the_queue() {
         // A model that schedules a follow-up AND stops in the same handle:
-        // the follow-up must survive into the queue (the recycled pending
-        // buffer is drained before the stop is reported).
+        // the follow-up must survive in the queue, in the slot the
+        // stopping event vacated.
         struct ScheduleAndStop;
         impl Model for ScheduleAndStop {
             type Event = u32;
@@ -362,78 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_between_events_reports_horizon() {
-        let mut sim = Simulation::new(Ticker {
-            reps: 3,
-            gap: Dur::from_ticks(10),
-            fired_at: Vec::new(),
-        });
-        sim.schedule(Time::ZERO, ());
-        // Horizon strictly between two event times: queue is nonempty.
-        assert_eq!(
-            sim.run_until(Time::from_ticks(15)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(sim.model().fired_at.len(), 2);
-        // Horizon past the last event: queue drains.
-        assert_eq!(sim.run_until(Time::from_ticks(1000)), RunOutcome::Drained);
-        assert_eq!(sim.model().fired_at.len(), 3);
-    }
-
-    #[test]
-    fn heartbeat_fires_every_n_events_with_virtual_time() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let beats: Rc<RefCell<Vec<(u64, u64, usize)>>> = Rc::default();
-        let mut sim = Simulation::new(Ticker {
-            reps: 10,
-            gap: Dur::from_ticks(5),
-            fired_at: Vec::new(),
-        });
-        let sink = Rc::clone(&beats);
-        sim.set_heartbeat(4, move |now, handled, depth| {
-            sink.borrow_mut().push((now.ticks(), handled, depth));
-        });
-        sim.schedule(Time::ZERO, ());
-        assert_eq!(sim.run(), RunOutcome::Drained);
-        // 10 events → beats after events 4 and 8, at virtual times 15/35.
-        assert_eq!(*beats.borrow(), vec![(15, 4, 1), (35, 8, 1)]);
-        sim.clear_heartbeat();
-        sim.schedule(sim.now(), ());
-        sim.run();
-        assert_eq!(beats.borrow().len(), 2, "cleared heartbeat must not fire");
-    }
-
-    #[test]
-    fn heap_high_water_tracks_peak_queue_depth() {
-        // Fan out: the first event schedules 5 follow-ups, which retire
-        // one by one. Peak depth is 5, final depth 0.
-        struct Fan;
-        impl Model for Fan {
-            type Event = bool;
-            fn handle(&mut self, root: bool, ctx: &mut Context<bool>) {
-                if root {
-                    for k in 1..=5 {
-                        ctx.schedule_in(Dur::from_ticks(k), false);
-                    }
-                }
-            }
-        }
-        let mut sim = Simulation::new(Fan);
-        sim.schedule(Time::ZERO, true);
-        assert_eq!(sim.heap_high_water(), 0);
-        sim.run();
-        assert_eq!(sim.heap_high_water(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "heartbeat interval must be positive")]
-    fn zero_heartbeat_interval_panics() {
-        let mut sim = Simulation::new(Stopper);
-        sim.set_heartbeat(0, |_, _, _| {});
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         struct Bad;
@@ -446,5 +317,182 @@ mod tests {
         let mut sim = Simulation::new(Bad);
         sim.schedule(Time::from_ticks(5), ());
         sim.run_for_events(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_in overflows virtual time")]
+    fn schedule_in_past_the_end_of_time_panics() {
+        // `now + delay` wrapping around would schedule into the past; the
+        // check must hold in release builds too, not only under debug
+        // overflow checks.
+        struct Huge;
+        impl Model for Huge {
+            type Event = ();
+            fn handle(&mut self, _ev: (), ctx: &mut Context<()>) {
+                ctx.schedule_in(Dur::MAX, ());
+            }
+        }
+        let mut sim = Simulation::new(Huge);
+        sim.schedule(Time::from_ticks(5), ());
+        sim.run_for_events(1);
+    }
+
+    /// Follow-up delays (0–3 of them, in ticks) and a stop flag for one
+    /// handled event; a script cycles through these.
+    type Reaction = (Vec<u64>, bool);
+
+    /// Events the scripted model may still schedule follow-ups for, so
+    /// every script drains.
+    const FOLLOWUP_LIMIT: u64 = 400;
+
+    /// A model driven by a script: the n-th handled event reacts with
+    /// `script[n % len]`, and every handled `(time, event)` is logged.
+    struct Scripted {
+        script: Vec<Reaction>,
+        handled: u64,
+        next_id: u32,
+        log: Vec<(u64, u32)>,
+    }
+
+    impl Scripted {
+        fn new(script: &[Reaction], first_id: u32) -> Self {
+            Scripted {
+                script: script.to_vec(),
+                handled: 0,
+                next_id: first_id,
+                log: Vec::new(),
+            }
+        }
+
+        /// Logs `ev` and returns its follow-ups as `(delay, event)` plus
+        /// the stop request.
+        fn react(&mut self, now: Time, ev: u32) -> (Vec<(u64, u32)>, bool) {
+            self.log.push((now.ticks(), ev));
+            let (delays, stop) = &self.script[self.handled as usize % self.script.len()];
+            self.handled += 1;
+            let mut out = Vec::new();
+            if self.handled <= FOLLOWUP_LIMIT {
+                for &d in delays {
+                    out.push((d, self.next_id));
+                    self.next_id += 1;
+                }
+            }
+            (out, *stop)
+        }
+    }
+
+    impl Model for Scripted {
+        type Event = u32;
+        fn handle(&mut self, ev: u32, ctx: &mut Context<u32>) {
+            let (followups, stop) = self.react(ctx.now(), ev);
+            // Stopping before or after scheduling must not matter.
+            if stop && ev.is_multiple_of(2) {
+                ctx.stop();
+            }
+            // Alternate the absolute and relative forms of scheduling.
+            for (i, (d, e)) in followups.into_iter().enumerate() {
+                if i.is_multiple_of(2) {
+                    ctx.schedule_in(Dur::from_ticks(d), e);
+                } else {
+                    ctx.schedule(ctx.now() + Dur::from_ticks(d), e);
+                }
+            }
+            if stop && !ev.is_multiple_of(2) {
+                ctx.stop();
+            }
+        }
+    }
+
+    /// The reference event loop: pop the earliest `(time, seq)` entry of
+    /// an ordered map, handle it, insert its follow-ups.
+    struct Reference {
+        model: Scripted,
+        queue: std::collections::BTreeMap<(Time, u64), u32>,
+        seq: u64,
+        now: Time,
+        handled: u64,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, at: Time, ev: u32) {
+            self.queue.insert((at, self.seq), ev);
+            self.seq += 1;
+        }
+
+        /// `run` with `budget = None`, `run_for_events(b)` with `Some(b)`.
+        fn run(&mut self, budget: Option<u64>) -> RunOutcome {
+            let mut spent = 0;
+            loop {
+                if budget == Some(spent) {
+                    return RunOutcome::EventBudgetSpent;
+                }
+                let Some(((t, _), ev)) = self.queue.pop_first() else {
+                    return RunOutcome::Drained;
+                };
+                self.now = t;
+                let (followups, stop) = self.model.react(t, ev);
+                for (d, e) in followups {
+                    self.schedule(t + Dur::from_ticks(d), e);
+                }
+                self.handled += 1;
+                spent += 1;
+                if stop {
+                    return RunOutcome::Stopped;
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// In-place rescheduling is observably the plain pop–handle–push
+        /// loop: same handled `(time, event)` sequence, clock, event
+        /// count, queue depth and outcome after every `run` or
+        /// `run_for_events` call, with zero delays, equal timestamps and
+        /// stops mixed in.
+        #[test]
+        fn dispatch_matches_the_reference_loop(
+            initial in prop::collection::vec(0u64..5, 1..6),
+            script in prop::collection::vec(
+                (
+                    prop::collection::vec(0u64..4, 0..4),
+                    (0u64..10).prop_map(|x| x == 0),
+                ),
+                1..12,
+            ),
+            budgets in prop::collection::vec(0u64..40, 1..8),
+        ) {
+            let mut sim = Simulation::new(Scripted::new(&script, initial.len() as u32));
+            let mut reference = Reference {
+                model: Scripted::new(&script, initial.len() as u32),
+                queue: Default::default(),
+                seq: 0,
+                now: Time::ZERO,
+                handled: 0,
+            };
+            for (id, &t) in initial.iter().enumerate() {
+                sim.schedule(Time::from_ticks(t), id as u32);
+                reference.schedule(Time::from_ticks(t), id as u32);
+            }
+            // Budget 0 stands for an unbounded `run`.
+            for &b in budgets.iter().cycle().take(10_000) {
+                let budget = (b > 0).then_some(b);
+                let got = match budget {
+                    None => sim.run(),
+                    Some(b) => sim.run_for_events(b),
+                };
+                let want = reference.run(budget);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(sim.now(), reference.now);
+                prop_assert_eq!(sim.events_handled(), reference.handled);
+                prop_assert_eq!(sim.queue_depth(), reference.queue.len());
+                if got == RunOutcome::Drained {
+                    break;
+                }
+            }
+            prop_assert_eq!(sim.queue_depth(), 0, "script did not drain");
+            prop_assert_eq!(&sim.into_model().log, &reference.model.log);
+        }
     }
 }
